@@ -60,7 +60,11 @@ from repro.exec.plan import (
     ExperimentPlan,
     RunSpec,
     config_digest,
-    trace_fingerprint,
+    fingerprint_ops,
+    serialise_ops,
+    # Not called here; stays importable from this module because
+    # perfbench's tracer wraps it under this name.
+    trace_fingerprint,  # noqa: F401
 )
 from repro.exec.pool import execute_plan
 from repro.metrics.collector import RunMetrics
@@ -368,6 +372,21 @@ def run_stream(
         result.jobs.append(records[j.id])
 
     running: dict[int, _Running] = {}
+    #: Job id -> serialised op lists, computed once per job: every
+    #: epoch and iso cell that job joins fingerprints from these bytes.
+    ops_bytes: dict[int, bytes] = {}
+
+    def _trace_digest(label: str, entries: list[tuple[int, _Running]]) -> str:
+        """``trace_fingerprint(merge_epoch_trace(...))`` without the merge."""
+        for jid, r in entries:
+            if jid not in ops_bytes:
+                ops_bytes[jid] = serialise_ops(r.job.trace)
+        return fingerprint_ops(
+            label,
+            sum(r.job.trace.num_ranks for _, r in entries),
+            (ops_bytes[jid] for jid, _ in entries),
+        )
+
     counters = {
         "epochs": 0,
         "epochs_nonempty": 0,
@@ -404,7 +423,7 @@ def run_stream(
             f"epoch:{epoch.digest[:16]}",
         )
         traces = {merged.name: merged}
-        tdigest = trace_fingerprint(merged)
+        tdigest = _trace_digest(merged.name, entries)
 
         def _cell(ep: EpochSpec, app: str, td: str, be: str) -> RunSpec:
             return RunSpec(
@@ -435,7 +454,12 @@ def run_stream(
             traces[iso_trace.name] = iso_trace
             iso_index[jid] = len(specs)
             specs.append(
-                _cell(iso, iso_trace.name, trace_fingerprint(iso_trace), backend)
+                _cell(
+                    iso,
+                    iso_trace.name,
+                    _trace_digest(iso_trace.name, [(jid, r)]),
+                    backend,
+                )
             )
         validate = (
             backend == "flow"
@@ -573,6 +597,7 @@ def run_stream(
             rec.status = "completed"
             rec.finish_s = now
             del running[jid]
+            ops_bytes.pop(jid, None)
             changed = True
         while arr_i < len(stream) and stream[arr_i].arrival_s <= now + _T_EPS:
             job = stream[arr_i]

@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.config import SimulationConfig
 from repro.mpi.trace import JobTrace
@@ -34,6 +34,8 @@ __all__ = [
     "ExperimentPlan",
     "config_digest",
     "trace_fingerprint",
+    "serialise_ops",
+    "fingerprint_ops",
     "plan_grid",
     "plan_sensitivity",
 ]
@@ -88,11 +90,32 @@ def trace_fingerprint(trace: JobTrace) -> str:
     lists (ops are NamedTuples, so ``repr`` is canonical). ``meta`` is
     deliberately excluded: it annotates but never alters replay.
     """
+    return fingerprint_ops(
+        trace.name,
+        trace.num_ranks,
+        (repr(rt.ops).encode() for rt in trace.ranks),
+    )
+
+
+def serialise_ops(trace: JobTrace) -> bytes:
+    """The per-rank op-list bytes :func:`trace_fingerprint` hashes."""
+    return b"".join(repr(rt.ops).encode() for rt in trace.ranks)
+
+
+def fingerprint_ops(name: str, num_ranks: int, chunks: Iterable[bytes]) -> str:
+    """:func:`trace_fingerprint` of a trace given its serialised ops.
+
+    ``chunks`` concatenate to the per-rank op-list bytes in rank order
+    — any split of them hashes the same. A trace that concatenates the
+    ranks of several jobs (a cluster-stream epoch) can thus be
+    fingerprinted from each job's :func:`serialise_ops`, computed once,
+    without re-serialising the jobs for every epoch.
+    """
     h = hashlib.sha256()
-    h.update(trace.name.encode())
-    h.update(b"|%d|" % trace.num_ranks)
-    for rt in trace.ranks:
-        h.update(repr(rt.ops).encode())
+    h.update(name.encode())
+    h.update(b"|%d|" % num_ranks)
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()
 
 

@@ -5,9 +5,10 @@ Two interchangeable implementations of the rate-allocation step behind
 
 * :func:`solve_scalar` — the historical pure-Python loop, extracted
   from the fabric as the reference the differential harness measures
-  against. One deliberate deviation from the original: links are
-  retired by an integer unfrozen-user *count* instead of by their
-  floating-point weight draining below ``_W_EPS``. The original could
+  against, now over list-indexed state with bit-identical results
+  (see its docstring). One deliberate deviation from the original:
+  links are retired by an integer unfrozen-user *count* instead of by
+  their floating-point weight draining below ``_W_EPS``. The original could
   leave ~1e-16 of residue on an emptied link after unit-by-unit
   cancellation, keeping it "shared" at residual 0 and tripping the
   defensive no-progress break — freezing the tail of the allocation at
@@ -80,69 +81,77 @@ _BOTTLENECK_RTOL = 1e-12
 def solve_scalar(flows: Sequence[Any], bw: Sequence[float]) -> list[int]:
     """Reference progressive filling (the historical in-fabric loop).
 
-    Deterministic: link maps iterate in first-touch order, which is
+    Deterministic: links are numbered in first-touch order, which is
     fixed by flow admission order, itself fixed by the simulator's
     total event order.
+
+    Per-solve state lives in plain lists indexed by a compact link
+    number ``li`` (first-touch order) and unit number ``k`` (admission
+    order). Every float operation of the original dict-keyed loop is
+    kept, on the same operands and in the same order, so allocations
+    are bit-identical to it (DESIGN.md §13 gives the argument).
     """
     saturated: list[int] = []
     if not flows:
         return saturated
 
-    weight: dict[int, float] = {}
-    count: dict[int, int] = {}
-    crossings: dict[int, int] = {}
-    last_flow: dict[int, int] = {}
-    users: dict[int, list[Any]] = {}
-    n_unfrozen = 0
+    compact: dict[int, int] = {}  # global link id -> li
+    glids: list[int] = []
+    weight: list[float] = []
+    users: list[list[int]] = []  # per link: unit numbers, ascending
+    units: list[Any] = []
+    unit_flow: list[int] = []
     for fi, f in enumerate(flows):
         for unit in f.units:
-            unit.rate = -1.0  # sentinel: not yet frozen
-            n_unfrozen += 1
+            k = len(units)
+            units.append(unit)
+            unit_flow.append(fi)
             for lid, w in unit.links:
-                if lid in weight:
-                    weight[lid] += w
-                    count[lid] += 1
-                    users[lid].append(unit)
+                li = compact.get(lid)
+                if li is None:
+                    compact[lid] = len(glids)
+                    glids.append(lid)
+                    weight.append(w)
+                    users.append([k])
                 else:
-                    weight[lid] = w
-                    count[lid] = 1
-                    users[lid] = [unit]
-                # Count distinct *flows* per link (units of one flow
-                # sharing its terminals are not contention).
-                if last_flow.get(lid) != fi:
-                    last_flow[lid] = fi
-                    crossings[lid] = crossings.get(lid, 0) + 1
-    link_ids = list(weight)
-    residual = {lid: bw[lid] for lid in link_ids}
+                    weight[li] += w
+                    users[li].append(k)
+    count = [len(u) for u in users]
+    residual = [bw[lid] for lid in glids]
+    tol = [bw[lid] * _BOTTLENECK_RTOL for lid in glids]
+    rates = [-1.0] * len(units)  # -1.0 sentinel: not yet frozen
+    n_unfrozen = len(units)
+    # Links still shared. Weights only ever decrease, so a link that
+    # drops out never returns, and filtering this list keeps the
+    # first-touch order of a full scan.
+    live: Sequence[int] = range(len(glids))
 
     base = 0.0
     while n_unfrozen:
+        live = [li for li in live if weight[li] > _W_EPS]
         step = math.inf
-        for lid in link_ids:
-            wsum = weight[lid]
-            if wsum > _W_EPS:
-                t = residual[lid] / wsum
-                if t < step:
-                    step = t
+        for li in live:
+            t = residual[li] / weight[li]
+            if t < step:
+                step = t
         if step is math.inf:  # pragma: no cover - defensive
             break
         base += step
         bottleneck: list[int] = []
-        for lid in link_ids:
-            wsum = weight[lid]
-            if wsum > _W_EPS:
-                r = residual[lid] - wsum * step
-                residual[lid] = r
-                if r <= bw[lid] * _BOTTLENECK_RTOL:
-                    bottleneck.append(lid)
+        for li in live:
+            r = residual[li] - weight[li] * step
+            residual[li] = r
+            if r <= tol[li]:
+                bottleneck.append(li)
         progressed = False
-        for lid in bottleneck:
-            for unit in users[lid]:
-                if unit.rate < 0.0:
-                    unit.rate = base
+        for li in bottleneck:
+            for k in users[li]:
+                if rates[k] < 0.0:
+                    rates[k] = base
                     n_unfrozen -= 1
                     progressed = True
-                    for l2, w2 in unit.links:
+                    for lid, w2 in units[k].links:
+                        l2 = compact[lid]
                         weight[l2] -= w2
                         count[l2] -= 1
                         if count[l2] == 0:
@@ -154,22 +163,31 @@ def solve_scalar(flows: Sequence[Any], bw: Sequence[float]) -> list[int]:
                             weight[l2] = 0.0
         if not progressed:  # pragma: no cover - defensive
             break
+    k = 0
     for f in flows:
         rate = 0.0
         for unit in f.units:
-            if unit.rate < 0.0:  # pragma: no cover - defensive
-                unit.rate = base
-            rate += unit.rate
+            r = rates[k]
+            k += 1
+            if r < 0.0:  # pragma: no cover - defensive
+                r = base
+            unit.rate = r
+            rate += r
         f.rate = rate
 
     # Saturation proxy: a link counts as saturated only while it is a
     # contended bottleneck — allocated to capacity with two or more
     # flows competing for it. A lone flow pinned at its own bottleneck
     # is healthy progress, not congestion (the packet model's buffers
-    # never fill there either).
-    for lid in sorted(residual):
-        if crossings[lid] >= 2 and residual[lid] <= bw[lid] * SAT_RTOL:
-            saturated.append(lid)
+    # never fill there either). Units of one flow sharing its terminals
+    # are not contention; users are in admission order, so two or more
+    # distinct flows cross a link iff its first and last users differ.
+    for li, lid in enumerate(glids):
+        if residual[li] <= bw[lid] * SAT_RTOL:
+            us = users[li]
+            if unit_flow[us[0]] != unit_flow[us[-1]]:
+                saturated.append(lid)
+    saturated.sort()
     return saturated
 
 

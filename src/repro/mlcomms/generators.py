@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from repro.apps.patterns import pair_jitter
 from repro.mpi import collectives
-from repro.mpi.trace import JobTrace, RankTrace
+from repro.mpi.trace import JobTrace, RankTrace, SentTally
 
 __all__ = [
     "dp_allreduce_trace",
@@ -81,9 +81,10 @@ def dp_allreduce_trace(
     )
     base = model_bytes // buckets
     ranks = [RankTrace(r) for r in range(num_ranks)]
+    sent = SentTally(ranks)
     profile = []
     for it in range(iterations):
-        start = sum(rt.bytes_sent() for rt in ranks)
+        start = sent.total()
         for b in range(buckets):
             size = round(base * pair_jitter(seed, "dp", it, b))
             for rt in ranks:
@@ -91,7 +92,7 @@ def dp_allreduce_trace(
                 reduce(rt, num_ranks, size, _tag(it, b))
         for rt in ranks:
             rt.barrier()
-        total = sum(rt.bytes_sent() for rt in ranks) - start
+        total = sent.total() - start
         profile.append((f"iter{it}/allreduce", total / num_ranks))
     return JobTrace(
         "DP",
@@ -210,9 +211,10 @@ def tp_layer_trace(
         raise ValueError("need at least one iteration and one layer")
     shard = max(1, hidden_bytes // num_ranks)
     ranks = [RankTrace(r) for r in range(num_ranks)]
+    sent = SentTally(ranks)
     profile = []
     for it in range(iterations):
-        start = sum(rt.bytes_sent() for rt in ranks)
+        start = sent.total()
         for layer in range(layers):
             size = round(shard * pair_jitter(seed, "tp", it, layer))
             for rt in ranks:
@@ -231,7 +233,7 @@ def tp_layer_trace(
                 )
         for rt in ranks:
             rt.barrier()
-        total = sum(rt.bytes_sent() for rt in ranks) - start
+        total = sent.total() - start
         profile.append((f"iter{it}/layers", total / num_ranks))
     return JobTrace(
         "TP",
@@ -278,9 +280,10 @@ def moe_alltoall_trace(
         )
 
     ranks = [RankTrace(r) for r in range(num_ranks)]
+    sent = SentTally(ranks)
     profile = []
     for it in range(iterations):
-        start = sum(rt.bytes_sent() for rt in ranks)
+        start = sent.total()
         for layer in range(layers):
             for phase, flip in (("dispatch", False), ("combine", True)):
                 tag = _tag(it, 0 if not flip else 1, layer)
@@ -311,7 +314,7 @@ def moe_alltoall_trace(
                 rt, num_ranks, allreduce_bytes, _tag(it, 2, 0)
             )
             rt.barrier()
-        total = sum(rt.bytes_sent() for rt in ranks) - start
+        total = sent.total() - start
         profile.append((f"iter{it}/experts", total / num_ranks))
     return JobTrace(
         "MOE",

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.mpi import collectives
-from repro.mpi.trace import JobTrace, RankTrace
+from repro.mpi.trace import JobTrace, RankTrace, SentTally
 
 __all__ = [
     "COMM_NAMES",
@@ -199,10 +199,11 @@ def parse_comms_trace(
     iterations = 0
     collectives_count = 0
     prev_bytes = 0
+    sent = SentTally(ranks)
 
     def _close_iteration() -> None:
         nonlocal iterations, prev_bytes
-        total = sum(rt.bytes_sent() for rt in ranks)
+        total = sent.total()
         delta = total - prev_bytes
         if delta <= 0:
             return  # empty iteration: nothing for the load profile

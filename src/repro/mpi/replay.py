@@ -30,6 +30,7 @@ them keeps the per-rank distribution informative, as in Figure 3).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import partial
 from typing import NamedTuple
@@ -267,6 +268,8 @@ class ReplayEngine:
         self.record_sends = record_sends
         self.eager_threshold = eager_threshold
         self._jobs: dict[int, _JobState] = {}
+        #: Ids of registered jobs that are not ``done`` yet.
+        self._running: set[int] = set()
         self._injectors: list = []
         self._msg_id = 0
         self._started = False
@@ -306,6 +309,8 @@ class ReplayEngine:
             js.ranks.append(_RankState(js, rt.rank, nodes[rt.rank], rt.ops))
         js.done = not js.ranks  # a rank-less trace is trivially finished
         self._jobs[job_id] = js
+        if not js.done:
+            self._running.add(job_id)
 
     def add_injector(self, injector) -> None:
         """Register a background-traffic injector (see repro.apps.synthetic).
@@ -353,8 +358,9 @@ class ReplayEngine:
             js = self._jobs[target_job]
             stop = partial(getattr, js, "done")
         else:
-            jobs = list(self._jobs.values())
-            stop = lambda: all(j.done for j in jobs)  # noqa: E731
+            # Same C-level polling for "every job is done": the set of
+            # unfinished job ids empties exactly when all(j.done) holds.
+            stop = partial(operator.not_, self._running)
 
         end = self.sim.run(until=until, stop=stop, max_events=max_events)
         self.fabric.drain_saturation()
@@ -473,6 +479,7 @@ class ReplayEngine:
         if js.finished_ranks == len(js.ranks):
             js.done = True
             js.finish_time = self.sim.now
+            self._running.discard(js.job_id)
 
     # ------------------------------------------------------------------
     # sends

@@ -25,7 +25,7 @@ from repro.mpi.ops import (
     WaitAll,
 )
 
-__all__ = ["RankTrace", "JobTrace"]
+__all__ = ["RankTrace", "JobTrace", "SentTally"]
 
 
 class RankTrace:
@@ -120,6 +120,38 @@ class RankTrace:
             else:
                 out.append(op)
         return RankTrace(self.rank, out)
+
+
+class SentTally:
+    """Running total of the bytes a set of growing rank traces sends.
+
+    Generators and importers record a per-iteration load by reading the
+    total at every iteration boundary. Re-summing
+    :meth:`RankTrace.bytes_sent` there rescans every rank's whole trace
+    each time — quadratic in the iteration count. :meth:`total` scans
+    only the ops appended since its previous call. Sizes are integers,
+    so the running sum equals the full re-sum exactly. Traces must only
+    grow by appending while a tally watches them.
+    """
+
+    __slots__ = ("_ranks", "_seen", "_total")
+
+    def __init__(self, ranks: list[RankTrace]) -> None:
+        self._ranks = ranks
+        self._seen = [0] * len(ranks)
+        self._total = 0
+
+    def total(self) -> int:
+        """Bytes sent by all watched ranks so far."""
+        for i, rt in enumerate(self._ranks):
+            ops = rt.ops
+            self._total += sum(
+                op.size
+                for op in ops[self._seen[i]:]
+                if isinstance(op, (Send, Isend))
+            )
+            self._seen[i] = len(ops)
+        return self._total
 
 
 class JobTrace:
