@@ -1,8 +1,8 @@
 """Engine hot-path throughput benchmark (the repro.perf gate).
 
 Times the tiny-preset 5x2 placement x routing grid — the golden-metrics
-scenario, serial, cache off — under every scheduler with observability
-off and on, and reports wall-clock mean/stdev plus event throughput.
+scenario, serial, cache off — on the binary-heap engine with
+observability off and on, and reports wall-clock mean/stdev plus event throughput.
 This is the workload the PR-level speedup claims in ``BENCH_engine.json``
 are measured on, and the CI perf smoke gate compares against.
 
@@ -32,7 +32,6 @@ from pathlib import Path
 
 import repro
 from repro.core.study import TradeoffStudy
-from repro.engine.queues import SCHEDULER_NAMES
 from repro.obs import ObsConfig
 
 #: Versioned result-file schema.
@@ -49,7 +48,7 @@ SCENARIO = {
 }
 
 
-def _grid_once(scheduler: str, obs: bool) -> tuple[float, int]:
+def _grid_once(obs: bool) -> tuple[float, int]:
     """One full 5x2 grid run; returns (wall seconds, total events)."""
     cfg = repro.tiny()
     trace = repro.fill_boundary_trace(
@@ -61,7 +60,6 @@ def _grid_once(scheduler: str, obs: bool) -> tuple[float, int]:
         cfg,
         {SCENARIO["app"]: trace},
         seed=SCENARIO["study_seed"],
-        scheduler=scheduler,
         **kwargs,
     ).run()
     wall = time.perf_counter() - t0
@@ -70,34 +68,37 @@ def _grid_once(scheduler: str, obs: bool) -> tuple[float, int]:
 
 
 def bench(repeats: int, warmup: int = 1) -> dict:
-    """Time every (scheduler, obs) configuration; return the result doc."""
+    """Time obs off and on; return the result doc.
+
+    Labels keep their ``heap/`` prefix so result files stay comparable
+    with the reference numbers in ``BENCH_engine.json``.
+    """
     configs = {}
-    for scheduler in SCHEDULER_NAMES:
-        for obs in (False, True):
-            label = f"{scheduler}/{'obs_on' if obs else 'obs_off'}"
-            for _ in range(warmup):
-                _grid_once(scheduler, obs)
-            times = []
-            events = 0
-            for _ in range(repeats):
-                wall, events = _grid_once(scheduler, obs)
-                times.append(wall)
-            mean = statistics.mean(times)
-            configs[label] = {
-                "mean_s": round(mean, 4),
-                "stdev_s": round(
-                    statistics.stdev(times) if len(times) > 1 else 0.0, 4
-                ),
-                "min_s": round(min(times), 4),
-                "repeats": repeats,
-                "events": events,
-                "events_per_s": round(events / mean),
-            }
-            print(
-                f"{label:>18}: {mean:.4f}s +- {configs[label]['stdev_s']:.4f} "
-                f"({configs[label]['events_per_s']:,} ev/s)",
-                file=sys.stderr,
-            )
+    for obs in (False, True):
+        label = f"heap/{'obs_on' if obs else 'obs_off'}"
+        for _ in range(warmup):
+            _grid_once(obs)
+        times = []
+        events = 0
+        for _ in range(repeats):
+            wall, events = _grid_once(obs)
+            times.append(wall)
+        mean = statistics.mean(times)
+        configs[label] = {
+            "mean_s": round(mean, 4),
+            "stdev_s": round(
+                statistics.stdev(times) if len(times) > 1 else 0.0, 4
+            ),
+            "min_s": round(min(times), 4),
+            "repeats": repeats,
+            "events": events,
+            "events_per_s": round(events / mean),
+        }
+        print(
+            f"{label:>18}: {mean:.4f}s +- {configs[label]['stdev_s']:.4f} "
+            f"({configs[label]['events_per_s']:,} ev/s)",
+            file=sys.stderr,
+        )
     return {
         "schema": SCHEMA,
         "scenario": SCENARIO,
@@ -112,8 +113,12 @@ def compare(doc: dict, ref_path: Path, max_regression: float) -> int:
     ref = json.loads(ref_path.read_text())
     baseline = ref.get("after", ref)  # PR files keep before/after blocks
     if baseline.get("schema") != SCHEMA:
-        print(f"schema mismatch in {ref_path}, skipping gate", file=sys.stderr)
-        return 0
+        print(
+            f"FAILED  schema mismatch in {ref_path}: "
+            f"{baseline.get('schema')!r} != {SCHEMA!r}",
+            file=sys.stderr,
+        )
+        return 1
     failed = False
     for label, cfg in baseline["configs"].items():
         cur = doc["configs"].get(label)

@@ -4,7 +4,7 @@ Tier 1 — **surrogate**: the fitted ridge model ranks every enumerated
 candidate placement from feature vectors alone — thousands per second,
 no simulation. Tier 2 — **flow screen**: the top ``screen_top``
 survivors run on the flow backend as content-addressed epoch cells
-(explicit node allocations, cached, batchable). Tier 3 — **packet
+(explicit node allocations, cached, parallelisable). Tier 3 — **packet
 validate**: the top ``validate_top`` of those re-run on the packet
 backend, and the final recommendation is the packet winner.
 
@@ -230,7 +230,7 @@ def _epoch_plan(
     """One single-job epoch cell per candidate, on ``backend``.
 
     The epoch's explicit node allocation is what makes a candidate a
-    first-class cell: same content-addressed caching, batching, and
+    first-class cell: same content-addressed caching, pooling, and
     retry machinery as every other cell in the repo — and the same keys
     whether reached from the funnel, the exhaustive check, or a later
     cluster stream.
@@ -275,7 +275,6 @@ def _run_tier(
     flow_params: FlowParams | None,
     cache: ResultCache | None,
     max_workers: int,
-    flow_batch: int,
     timeout_s: float | None,
 ) -> tuple[list[float], TierReport]:
     """Simulate every candidate on ``backend``; scores in input order."""
@@ -301,7 +300,6 @@ def _run_tier(
         timeout_s=timeout_s,
         runner=simulate_epoch,
         strict=True,
-        flow_batch=flow_batch if backend == "flow" else 0,
     )
     wall = time.perf_counter() - start
     scores = [
@@ -331,7 +329,6 @@ def suggest_placement(
     seed: int = 0,
     cache: ResultCache | str | None = None,
     max_workers: int = 1,
-    flow_batch: int = 0,
     flow_params: FlowParams | None = None,
     timeout_s: float | None = None,
     exhaustive: bool = False,
@@ -410,7 +407,6 @@ def suggest_placement(
             flow_params=flow_params,
             cache=cache,
             max_workers=max_workers,
-            flow_batch=flow_batch,
             timeout_s=timeout_s,
         )
 

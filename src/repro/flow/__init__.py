@@ -9,7 +9,6 @@ the CLI); validate it against the exact engine with
 :func:`~repro.flow.fidelity.fidelity_report`.
 """
 
-from repro.flow.batch import BatchedFlowRunner, run_flow_batch
 from repro.flow.fabric import (
     DEFAULT_FABRIC,
     FABRIC_NAMES,
@@ -35,7 +34,6 @@ from repro.flow.solver import (
 __all__ = [
     "ArrayFlowFabric",
     "BACKEND_NAMES",
-    "BatchedFlowRunner",
     "DEFAULT_FABRIC",
     "DEFAULT_SOLVER",
     "FABRIC_NAMES",
@@ -49,7 +47,6 @@ __all__ = [
     "get_solver",
     "kendall_tau",
     "make_flow_fabric",
-    "run_flow_batch",
     "solve_scalar",
     "solve_vector",
 ]

@@ -17,8 +17,8 @@ fabric knobs.
 Enablement is opt-in via the ``REPRO_FLOW_MODEL_CACHE`` environment
 variable (a directory path): :func:`~repro.flow.routes.flow_route_model`
 calls :func:`load_into` on every newly constructed model when the knob
-is set, and the batched runner / pool workers call :func:`save_from`
-after simulating. Writes are atomic (temp file + ``os.replace``) so
+is set, and :func:`repro.exec.pool.simulate_spec` calls
+:func:`save_from` after each flow cell. Writes are atomic (temp file + ``os.replace``) so
 concurrent workers can race on the same digest safely; corrupt or
 unreadable files are treated as misses and counted in :func:`stats`.
 """

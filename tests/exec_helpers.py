@@ -124,10 +124,3 @@ def sleepy_runner(config, spec, trace) -> RunResult:
     """Sleeps ``sleep`` seconds — for per-cell timeout tests."""
     time.sleep(float(_tag(spec, "sleep")))
     return make_stub_result(spec)
-
-
-def picky_runner(config, spec, trace) -> RunResult:
-    """Fails only cells tagged ``poison=1`` — for chunk-isolation tests."""
-    if _tag(spec, "poison"):
-        raise RuntimeError("poisoned cell")
-    return make_stub_result(spec)

@@ -4,24 +4,25 @@ incremental CSR + link-aggregate invariants, the vectorized settle and
 solve dispatch, and the disk-backed route-model prewarm cache.
 
 The cross-driver physics equivalence (object vs array fabric over the
-full grid, schedulers, worker pools, warm caches) lives in
-``tests/integration/test_flow_batch_equivalence.py``; this module pins
+full grid, worker pools, warm caches) lives in
+``tests/integration/test_flow_equivalence.py``; this module pins
 the internals those promises rest on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro
 from repro.engine.simulator import Simulator
+from repro.exec.plan import plan_grid
+from repro.exec.pool import simulate_spec
 from repro.flow import modelcache
-from repro.flow.batch import BatchedFlowRunner
 from repro.flow.fabric import (
     DEFAULT_FABRIC,
     FABRIC_NAMES,
@@ -376,64 +377,22 @@ class TestModelCache:
         assert model._cache  # warmed before any entry() call
         _shared_model.cache_clear()
 
-
-class TestPrewarmParams:
-    def _spec(self, routing, params=None):
-        return SimpleNamespace(routing=routing, flow_params=params)
-
-    def test_prewarm_warms_each_params_combination(self, cfg, monkeypatch):
-        """Regression: prewarm used to key models by routing alone, so
-        a spec carrying non-default ``FlowParams`` warmed the *default*
-        model and the cell then paid the full derivation cost."""
-        calls = []
-
-        def recorder(topo, net, routing, params=None):
-            calls.append((routing, params))
-            return ("model", routing, params)
-
-        monkeypatch.setattr(
-            "repro.flow.batch.flow_route_model", recorder
-        )
-        runner = BatchedFlowRunner(cfg, runner=lambda c, s, t: None)
+    def test_simulate_spec_persists_each_cells_model(self, cfg, topo):
+        """The flow cell runner writes the cell's own route model to the
+        disk cache, keyed by its ``FlowParams`` too: a tuned cell
+        persists the tuned model, not the default one."""
+        trace = repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(0.05)
+        (spec,) = plan_grid(
+            cfg, {"FB": trace}, ("cont",), ("adp",), seed=7, backend="flow"
+        ).specs
         tuned = FlowParams(epoch_ns=0.0)
-        specs = [
-            self._spec("adp"),
-            self._spec("adp", tuned),
-            self._spec("adp"),  # duplicate: one model, not two
-            self._spec("min"),
-        ]
-        assert runner.prewarm(specs) == 3
-        assert runner.models_warmed == 3
-        assert calls == [
-            ("adp", None),
-            ("adp", tuned),
-            ("min", None),
-        ]
-
-    def test_save_models_persists_prewarmed_set(
-        self, cfg, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(modelcache.MODEL_CACHE_ENV, str(tmp_path))
-        modelcache.reset_stats()
-        runner = BatchedFlowRunner(cfg, runner=lambda c, s, t: None)
-        runner.prewarm([self._spec("adp"), self._spec("min")])
-        assert runner.save_models() == 2
-        assert len(list(tmp_path.glob("model-*.pkl"))) == 2
-        # Digests already on disk: nothing rewritten.
-        assert runner.save_models() == 0
-        modelcache.reset_stats()
-
-    def test_run_batch_saves_after_solving(
-        self, cfg, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(modelcache.MODEL_CACHE_ENV, str(tmp_path))
-        modelcache.reset_stats()
-        runner = BatchedFlowRunner(
-            cfg, runner=lambda c, spec, trace: ("solved", spec.routing)
-        )
-        payloads = runner.run_batch([(self._spec("min"), "trace")])
-        assert [(s, r) for s, r, _ in payloads] == [
-            ("ok", ("solved", "min"))
-        ]
-        assert len(list(tmp_path.glob("model-*.pkl"))) == 1
-        modelcache.reset_stats()
+        for params in (None, tuned):
+            simulate_spec(
+                cfg, dataclasses.replace(spec, flow_params=params), trace
+            )
+        assert modelcache.stats()["saves"] == 2
+        assert len(list(self.dir.glob("model-*.pkl"))) == 2
+        for params in (FlowParams(), tuned):
+            fresh = FlowRouteModel(topo, cfg.network, "adp", params)
+            assert modelcache.load_into(fresh) is True
+            assert fresh._cand_cache  # the cell's derived memos came back
