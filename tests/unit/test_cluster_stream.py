@@ -1,5 +1,6 @@
 """repro.cluster: workloads, scheduler, stream engine, export."""
 
+import dataclasses
 import json
 import math
 
@@ -24,6 +25,7 @@ from repro.cluster import (
 )
 from repro.cluster.workload import default_mix
 from repro.exec.plan import RunSpec, config_digest, trace_fingerprint
+from repro.flow.routes import FlowParams
 from repro.placement.machine import Machine
 
 
@@ -280,6 +282,34 @@ class TestEpochCells:
             assert tele["finish_ns"] > 0
         assert out.job.num_ranks == 8
         assert out.backend == "flow"
+
+    def test_flow_epoch_cell_honours_flow_params(self, tiny_config):
+        """A single-job flow epoch cell is the ``run_single`` simulation
+        on the same nodes, model knobs included: ``flow_params`` is part
+        of the cell's key, so the cell must not fall back to the
+        default params."""
+        trace = repro.fill_boundary_trace(num_ranks=8, seed=3)
+        tuned = FlowParams(epoch_ns=0.0)
+        finish = {}
+        for params in (None, tuned):
+            ref = repro.run_single(
+                tiny_config, trace, "rand", "adp", seed=7,
+                backend="flow", flow_params=params,
+            )
+            spec, merged = _epoch_spec_for(tiny_config, [(trace, ref.nodes)])
+            spec = dataclasses.replace(spec, flow_params=params)
+            cell = simulate_epoch(tiny_config, spec, merged)
+            got = cell.extra["epoch_jobs"][trace.name]["finish_ns"]
+            want = float(ref.job.finish_time_ns.max())
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0)
+            assert math.isclose(
+                cell.metrics.max_comm_time_ns,
+                ref.metrics.max_comm_time_ns,
+                rel_tol=1e-9,
+                abs_tol=0.0,
+            )
+            finish[params] = got
+        assert finish[tuned] != finish[None]
 
     def test_simulate_epoch_span_mismatch(self, tiny_config):
         a = repro.crystal_router_trace(num_ranks=4, seed=1)
