@@ -48,8 +48,8 @@ unchanged:
   buffers-exhausted stall time.
 
 All wake-ups are ordinary ``(time, seq)`` simulator events, so results
-are bit-identical across schedulers and worker counts, exactly like the
-packet backend.
+are bit-identical across repeat runs and worker counts, exactly like
+the packet backend.
 """
 
 from __future__ import annotations
